@@ -22,6 +22,8 @@ IncrementalScanner::IncrementalScanner(market::MarketSnapshot snapshot,
   const market::MarketView& view = market_.front_view();
   pool_quarantined_.resize(graph.pool_count(), 0);
   coalesce_winner_.assign(graph.pool_count(), 0);
+  ranked_.reserve(index_.cycles().size());
+  merge_head_.resize(plan_.shard_count());
   shards_.resize(plan_.shard_count());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
@@ -31,6 +33,11 @@ IncrementalScanner::IncrementalScanner(market::MarketSnapshot snapshot,
     shard.mixed.resize(universe.size());
     shard.quarantine_count.assign(universe.size(), 0);
     shard.dirty_flag.assign(universe.size(), 0);
+    shard.ranked.reserve(universe.size());
+    shard.rank_scratch.reserve(universe.size());
+    shard.rank_dirty.reserve(universe.size());
+    shard.rank_dirty_flag.assign(universe.size(), 0);
+    shard.rank_key.resize(universe.size());
     // Flattened gate tables: pool ids and price sides of every hop, in
     // cycle order, with prefix offsets. Immutable — pool/token topology
     // never changes after build.
@@ -38,6 +45,7 @@ IncrementalScanner::IncrementalScanner(market::MarketSnapshot snapshot,
     shard.gate_offset[0] = 0;
     for (std::size_t i = 0; i < universe.size(); ++i) {
       const graph::Cycle& cycle = index_.cycles()[universe[i]];
+      shard.rank_key[i] = index_.key_ordinals()[universe[i]];
       shard.mixed[i] = cycle.all_cpmm(graph) ? 0 : 1;
       const std::size_t hops = cycle.length();
       for (std::size_t k = 0; k < hops; ++k) {
@@ -61,7 +69,9 @@ Result<IncrementalScanner> IncrementalScanner::create(
   if (!plan) return plan.error();
   IncrementalScanner scanner(std::move(snapshot), std::move(config),
                              *std::move(index), *std::move(plan), workers);
-  // Initial full pricing: every cycle is dirty, one synchronous round.
+  // Initial full pricing: every cycle is dirty, one synchronous round
+  // (which also marks every cycle rank-dirty, so the first observation
+  // builds the ranking through the ordinary merge path).
   for (Shard& shard : scanner.shards_) {
     shard.dirty.resize(shard.slots.size());
     std::iota(shard.dirty.begin(), shard.dirty.end(), 0u);
@@ -306,7 +316,9 @@ void IncrementalScanner::launch_reprice() {
     if (shard.lane_survivors.size() < lanes) shard.lane_survivors.resize(lanes);
     shard.lane_stats.assign(lanes, LaneStats{});
     shard.lane_statuses.assign(len, Status());
-    shard.ranking_stale = true;
+    for (const std::uint32_t local : shard.dirty) {
+      mark_rank_dirty(shard, local);
+    }
     if (workers_ == nullptr) {
       price_range(s, 0, len, 0);
       continue;
@@ -369,8 +381,9 @@ Result<ApplyReport> IncrementalScanner::wait_reprice() {
   report.repriced = report.repriced_cpmm + report.repriced_mixed;
   report.warm_invalidations += pending_warm_invalidations_;
   pending_warm_invalidations_ = 0;
-  // The ranking is NOT rebuilt here: reprice marked the touched shards
-  // stale, and the next collect()/ranked() call re-sorts and merges.
+  // The ranking is NOT rebuilt here: launch_reprice() marked the
+  // repriced cycles rank-dirty, and the next collect()/ranked() call
+  // merges them into the kept order.
   return report;
 }
 
@@ -391,7 +404,7 @@ void IncrementalScanner::set_quarantined(PoolId pool, bool quarantined) {
           shard.warm[local].valid = false;
           ++pending_warm_invalidations_;
         }
-        shard.ranking_stale = true;
+        mark_rank_dirty(shard, local);
       }
     } else {
       ARB_REQUIRE(shard.quarantine_count[local] > 0,
@@ -407,40 +420,56 @@ bool IncrementalScanner::pool_quarantined(PoolId pool) const {
   return pool_quarantined_[pool.value()] != 0;
 }
 
+void IncrementalScanner::mark_rank_dirty(Shard& shard, std::uint32_t local) {
+  if (shard.rank_dirty_flag[local]) return;
+  shard.rank_dirty_flag[local] = 1;
+  shard.rank_dirty.push_back(local);
+}
+
+bool IncrementalScanner::ranks_before(const Shard& sa, std::uint32_t a,
+                                      const Shard& sb, std::uint32_t b) {
+  const double pa = sa.slots[a]->net_profit_usd;
+  const double pb = sb.slots[b]->net_profit_usd;
+  if (pa != pb) return pa > pb;
+  return sa.rank_key[a] < sb.rank_key[b];
+}
+
 void IncrementalScanner::rebuild_ranking() {
-  const std::vector<std::string>& keys = index_.rotation_keys();
-  // Only shards whose slots changed re-sort; clean shards keep their
-  // ranking from the previous round. If no shard changed since the last
-  // merge the global view is still valid and the whole call is a no-op.
-  bool changed = merge_stale_;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    if (!shard.ranking_stale) continue;
+  ARB_REQUIRE(!in_flight_, "ranking observed with a reprice in flight");
+  // Per shard, only the slots that changed since the last observation
+  // move: they leave the kept order, the ones still present are sorted
+  // among themselves, and the two sorted runs merge. ranks_before is a
+  // strict total order, so the result is bit-identical to re-sorting
+  // every present slot.
+  bool changed = false;
+  for (Shard& shard : shards_) {
+    if (shard.rank_dirty.empty()) continue;
     changed = true;
-    const std::vector<std::uint32_t>& universe = plan_.cycles_of(s);
-    shard.ranked.clear();
-    for (std::uint32_t i = 0; i < shard.slots.size(); ++i) {
-      if (shard.slots[i].has_value()) shard.ranked.push_back(i);
+    const auto before = [&shard](std::uint32_t a, std::uint32_t b) {
+      return ranks_before(shard, a, shard, b);
+    };
+    std::erase_if(shard.ranked, [&shard](std::uint32_t local) {
+      return shard.rank_dirty_flag[local] != 0;
+    });
+    for (const std::uint32_t local : shard.rank_dirty) {
+      shard.rank_dirty_flag[local] = 0;
     }
-    std::sort(shard.ranked.begin(), shard.ranked.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const double pa = shard.slots[a]->net_profit_usd;
-                const double pb = shard.slots[b]->net_profit_usd;
-                if (pa != pb) return pa > pb;
-                return keys[universe[a]] < keys[universe[b]];
-              });
-    shard.ranking_stale = false;
+    std::erase_if(shard.rank_dirty, [&shard](std::uint32_t local) {
+      return !shard.slots[local].has_value();
+    });
+    std::sort(shard.rank_dirty.begin(), shard.rank_dirty.end(), before);
+    shard.rank_scratch.resize(shard.ranked.size() + shard.rank_dirty.size());
+    std::merge(shard.ranked.begin(), shard.ranked.end(),
+               shard.rank_dirty.begin(), shard.rank_dirty.end(),
+               shard.rank_scratch.begin(), before);
+    shard.ranked.swap(shard.rank_scratch);
+    shard.rank_dirty.clear();
   }
   if (!changed) return;
-  merge_stale_ = false;
 
-  // K-way merge under the same comparator. Rotation keys are unique, so
-  // the comparator is a strict total order and merging the per-shard
-  // sorted runs reproduces the K=1 global sort exactly.
+  // K-way merge under the same strict total order, which reproduces the
+  // K=1 global sort exactly.
   ranked_.clear();
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.ranked.size();
-  ranked_.reserve(total);
   if (shards_.size() == 1) {
     const Shard& shard = shards_[0];
     for (const std::uint32_t local : shard.ranked) {
@@ -448,40 +477,41 @@ void IncrementalScanner::rebuild_ranking() {
     }
     return;
   }
-  std::vector<std::size_t> head(shards_.size(), 0);
+  std::size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.ranked.size();
+  std::fill(merge_head_.begin(), merge_head_.end(), 0);
   while (ranked_.size() < total) {
     std::size_t best = shards_.size();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (head[s] >= shards_[s].ranked.size()) continue;
+      const Shard& shard = shards_[s];
+      if (merge_head_[s] >= shard.ranked.size()) continue;
       if (best == shards_.size()) {
         best = s;
         continue;
       }
-      const core::Opportunity& cand =
-          *shards_[s].slots[shards_[s].ranked[head[s]]];
-      const core::Opportunity& lead =
-          *shards_[best].slots[shards_[best].ranked[head[best]]];
-      if (cand.net_profit_usd != lead.net_profit_usd) {
-        if (cand.net_profit_usd > lead.net_profit_usd) best = s;
-        continue;
+      if (ranks_before(shard, shard.ranked[merge_head_[s]], shards_[best],
+                       shards_[best].ranked[merge_head_[best]])) {
+        best = s;
       }
-      const std::string& cand_key =
-          index_.rotation_keys()[plan_.cycles_of(s)[shards_[s].ranked[head[s]]]];
-      const std::string& lead_key =
-          index_.rotation_keys()[plan_.cycles_of(best)
-                                     [shards_[best].ranked[head[best]]]];
-      if (cand_key < lead_key) best = s;
     }
-    ranked_.push_back(&*shards_[best].slots[shards_[best].ranked[head[best]]]);
-    ++head[best];
+    const Shard& winner = shards_[best];
+    ranked_.push_back(&*winner.slots[winner.ranked[merge_head_[best]]]);
+    ++merge_head_[best];
   }
 }
 
 void IncrementalScanner::collect_into(std::vector<core::Opportunity>& out) {
   rebuild_ranking();
-  out.clear();
-  out.reserve(ranked_.size());
-  for (const core::Opportunity* op : ranked_) out.push_back(*op);
+  // Copy-assign over the caller's existing elements so their inner
+  // vectors keep their capacity; only the size difference is erased or
+  // appended.
+  const std::size_t n = ranked_.size();
+  if (out.size() > n) {
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(n), out.end());
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = *ranked_[i];
+  out.reserve(n);
+  for (std::size_t i = out.size(); i < n; ++i) out.push_back(*ranked_[i]);
 }
 
 std::vector<core::Opportunity> IncrementalScanner::collect() {

@@ -49,6 +49,20 @@
 /// comparator (net profit descending, canonical rotation key ascending);
 /// rotation keys are unique, the order is strictly total, and the merge
 /// is therefore bit-identical to the K=1 ranking for any K.
+///
+/// Ranking (DESIGN.md §11) is lazy and proportional to what changed:
+/// each shard keeps its ranked order between observations plus a
+/// deduplicated list of the locals whose slot changed since (fed by
+/// launch_reprice and quarantine entry, accumulating across epochs). The
+/// first observation after a change drops those locals from the kept
+/// order, sorts the ones still holding a slot and merges the two runs;
+/// ties compare precomputed rotation-key ordinals, not strings. Ranking
+/// never allocates: the per-shard orders and merge scratch, the K-way
+/// merge cursors and the global view are reserved at construction.
+/// collect_into() copy-assigns over the caller's elements so their inner
+/// vectors keep their capacity; polling again into the same vector
+/// allocates only for entries past its previous size or larger than the
+/// entry they overwrite.
 
 #include <cstdint>
 #include <functional>
@@ -160,10 +174,10 @@ class IncrementalScanner {
 
   /// Ranked opportunities (best first), pointers into internal slots.
   /// Invalidated by the next apply(). Non-const: the ranking is
-  /// finalized lazily here — apply() only marks shards stale, and the
-  /// per-shard re-sorts plus the K-way merge run on first observation,
-  /// keeping the merge cost out of the event hot path. Must not be
-  /// called while a reprice is in flight.
+  /// finalized lazily here — apply() only records which slots changed,
+  /// and merging those into the kept per-shard orders plus the K-way
+  /// merge run on first observation, keeping the ranking cost out of the
+  /// event hot path. Must not be called while a reprice is in flight.
   [[nodiscard]] const std::vector<const core::Opportunity*>& ranked() {
     rebuild_ranking();
     return ranked_;
@@ -173,8 +187,10 @@ class IncrementalScanner {
   /// core::scan_market would return on the current reserves.
   [[nodiscard]] std::vector<core::Opportunity> collect();
 
-  /// Same, but into a caller-owned vector whose capacity is reused
-  /// across polls (the allocation-free polling path).
+  /// Same, but into a caller-owned vector whose elements are
+  /// copy-assigned in place, keeping their inner capacity; only the size
+  /// difference is erased or appended (the allocation-free polling
+  /// path).
   void collect_into(std::vector<core::Opportunity>& out);
 
   /// Marks a pool (un)quarantined. Every cycle traversing a quarantined
@@ -245,9 +261,20 @@ class IncrementalScanner {
     std::vector<std::uint32_t> gate_offset;
     std::vector<std::uint32_t> gate_pool;
     std::vector<std::uint8_t> gate_side;
-    /// Local positions of present slots, best first. Rebuilt lazily:
-    /// only when `ranking_stale` (set by reprice or quarantine entry).
+    /// Local positions of present slots, best first, as of the last
+    /// observation. Kept between observations: rebuild_ranking() drops
+    /// the `rank_dirty` locals, sorts those still present and merges the
+    /// two runs through `rank_scratch` (both reserved to the universe
+    /// size, so the merge never allocates).
     std::vector<std::uint32_t> ranked;
+    std::vector<std::uint32_t> rank_scratch;
+    /// Locals whose slot may have changed since the last observation,
+    /// deduplicated by `rank_dirty_flag`; accumulates across epochs.
+    std::vector<std::uint32_t> rank_dirty;
+    std::vector<char> rank_dirty_flag;
+    /// Per-local rotation-key ordinal (PoolCycleIndex::key_ordinals),
+    /// the ranking tie-break.
+    std::vector<std::uint32_t> rank_key;
     /// Active dirty set (sorted local positions) the in-flight reprice
     /// lanes chunk over, and the pending set begin_epoch() routes into
     /// (promoted to active at commit_epoch()).
@@ -264,7 +291,6 @@ class IncrementalScanner {
     std::vector<LaneStats> lane_stats;
     std::vector<Status> lane_statuses;
     std::vector<std::vector<std::uint32_t>> lane_survivors;
-    bool ranking_stale = true;
   };
 
   IncrementalScanner(market::MarketSnapshot snapshot,
@@ -281,10 +307,21 @@ class IncrementalScanner {
   void price_range(std::size_t s, std::size_t begin, std::size_t end,
                    std::size_t lane);
 
-  /// Re-sorts stale per-shard rankings and K-way merges them into the
-  /// global ranked view. No-op when nothing changed since the last call;
-  /// the collect paths invoke it lazily so apply() never pays for
-  /// rankings nobody observes between batches.
+  /// The ranking order between present slots, within or across shards:
+  /// net profit descending, then rotation-key ordinal ascending. Keys
+  /// are unique, so the order is strictly total.
+  static bool ranks_before(const Shard& sa, std::uint32_t a, const Shard& sb,
+                           std::uint32_t b);
+
+  /// Records that shard-local slot `local` may have changed since the
+  /// last observation.
+  static void mark_rank_dirty(Shard& shard, std::uint32_t local);
+
+  /// Merges each shard's changed slots into its kept order and K-way
+  /// merges the shard orders into the global ranked view. No-op when
+  /// nothing changed since the last call; the collect paths invoke it
+  /// lazily so apply() never pays for rankings nobody observes between
+  /// batches.
   void rebuild_ranking();
 
   EpochMarket market_;
@@ -295,9 +332,8 @@ class IncrementalScanner {
 
   std::vector<Shard> shards_;
   std::vector<const core::Opportunity*> ranked_;
-  /// True until the first merge; per-shard staleness drives re-merges
-  /// after that.
-  bool merge_stale_ = true;
+  /// K-way merge cursor per shard, reused across rebuilds.
+  std::vector<std::size_t> merge_head_;
   /// Per-pool quarantine flag (pool → 0/1), shared by all shards; the
   /// per-cycle counts live with their owning shard.
   std::vector<char> pool_quarantined_;

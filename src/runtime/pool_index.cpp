@@ -1,6 +1,7 @@
 #include "runtime/pool_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "graph/cycle_enumeration.hpp"
@@ -33,6 +34,16 @@ Result<PoolCycleIndex> PoolCycleIndex::build(
     for (const PoolId pool : cycle.pools()) {
       index.by_pool_[pool.value()].push_back(static_cast<std::uint32_t>(i));
     }
+  }
+  std::vector<std::uint32_t> by_key(index.cycles_.size());
+  std::iota(by_key.begin(), by_key.end(), 0u);
+  std::sort(by_key.begin(), by_key.end(),
+            [&keys = index.rotation_keys_](std::uint32_t a, std::uint32_t b) {
+              return keys[a] < keys[b];
+            });
+  index.key_ordinals_.resize(by_key.size());
+  for (std::uint32_t rank = 0; rank < by_key.size(); ++rank) {
+    index.key_ordinals_[by_key[rank]] = rank;
   }
   // Universe order already makes per-pool lists ascending; keep the
   // invariant explicit for callers that merge dirty sets.

@@ -43,6 +43,14 @@ class PoolCycleIndex {
     return rotation_keys_;
   }
 
+  /// Rank of each universe cycle's rotation key in ascending string
+  /// order (a permutation of 0..N-1): comparing two ordinals orders the
+  /// cycles exactly as comparing their rotation_keys() does, without
+  /// touching the strings.
+  [[nodiscard]] const std::vector<std::uint32_t>& key_ordinals() const {
+    return key_ordinals_;
+  }
+
   /// Indices into cycles() of every cycle traversing `pool`, ascending.
   [[nodiscard]] const std::vector<std::uint32_t>& cycles_of(PoolId pool) const;
 
@@ -57,6 +65,7 @@ class PoolCycleIndex {
  private:
   std::vector<graph::Cycle> cycles_;
   std::vector<std::string> rotation_keys_;
+  std::vector<std::uint32_t> key_ordinals_;
   std::vector<std::vector<std::uint32_t>> by_pool_;
 };
 

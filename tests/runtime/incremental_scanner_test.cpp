@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,14 +58,29 @@ void expect_identical(const std::vector<core::Opportunity>& full,
   }
 }
 
+/// How run_differential drives the scanner besides the random batches.
+struct DifferentialOptions {
+  WorkerPool* workers = nullptr;
+  std::size_t shards = 1;
+  /// Observe only after every n-th batch (n redrawn in 1..4 after each
+  /// observation), so several epochs' dirt accumulates before a ranking.
+  bool sparse_observation = false;
+  /// Between batches, quarantine a random pool or release a quarantined
+  /// one (its resync event rides in the next batch); the reference is
+  /// scan_market with the quarantined pools' loops filtered out.
+  bool quarantine = false;
+};
+
 /// Runs `total_events` random updates in random-sized batches against
-/// both scanners and compares after every batch.
+/// both scanners and compares at every observation, through collect_into
+/// into one reused vector.
 void run_differential(const market::MarketSnapshot& snapshot,
                       const core::ScannerConfig& config,
                       std::size_t total_events, std::uint64_t seed,
-                      WorkerPool* workers = nullptr) {
-  auto scanner =
-      IncrementalScanner::create(snapshot, config, workers).value();
+                      const DifferentialOptions& options = {}) {
+  auto scanner = IncrementalScanner::create(snapshot, config, options.workers,
+                                            options.shards)
+                     .value();
   market::MarketSnapshot reference = snapshot;
 
   // Initial state must already agree.
@@ -74,24 +91,57 @@ void run_differential(const market::MarketSnapshot& snapshot,
   Rng rng(seed);
   std::uint64_t sequence = 0;
   std::size_t emitted = 0;
+  std::vector<char> quarantined(reference.graph.pool_count(), 0);
+  std::vector<PoolUpdateEvent> resyncs;
+  std::vector<core::Opportunity> observed;
+  const auto draw_gap = [&] {
+    return options.sparse_observation
+               ? static_cast<std::size_t>(rng.uniform_int(1, 4))
+               : std::size_t{1};
+  };
+  std::size_t until_observation = draw_gap();
   while (emitted < total_events) {
+    if (options.quarantine && rng.uniform_int(0, 2) == 0) {
+      const PoolId pool{static_cast<PoolId::underlying_type>(rng.uniform_int(
+          0, static_cast<std::int64_t>(quarantined.size()) - 1))};
+      char& flag = quarantined[pool.value()];
+      flag = flag != 0 ? 0 : 1;
+      scanner.set_quarantined(pool, flag != 0);
+      if (flag == 0) {
+        // Release: the resync event re-prices the pool's loops.
+        const auto& state = reference.graph.pool(pool);
+        resyncs.push_back(
+            {pool, state.reserve0(), state.reserve1(), sequence++});
+      }
+    }
     const std::size_t batch_size = std::min<std::size_t>(
         static_cast<std::size_t>(rng.uniform_int(1, 8)),
         total_events - emitted);
     std::vector<PoolUpdateEvent> batch;
-    batch.reserve(batch_size);
+    batch.reserve(batch_size + resyncs.size());
+    batch.insert(batch.end(), resyncs.begin(), resyncs.end());
+    resyncs.clear();
     for (std::size_t i = 0; i < batch_size; ++i) {
       batch.push_back(random_event(reference.graph, rng, 0.02, sequence++));
     }
     emitted += batch_size;
 
     const ApplyReport report = scanner.apply(batch).value();
-    EXPECT_EQ(report.events, batch_size);
-    EXPECT_LE(report.unique_pools, batch_size);
+    EXPECT_EQ(report.events, batch.size());
+    EXPECT_LE(report.unique_pools, batch.size());
 
-    expect_identical(
-        core::scan_market(reference.graph, reference.prices, config).value(),
-        scanner.collect());
+    if (--until_observation != 0 && emitted < total_events) continue;
+    until_observation = draw_gap();
+    auto expected =
+        core::scan_market(reference.graph, reference.prices, config).value();
+    std::erase_if(expected, [&quarantined](const core::Opportunity& op) {
+      return std::any_of(op.cycle.pools().begin(), op.cycle.pools().end(),
+                         [&quarantined](PoolId pool) {
+                           return quarantined[pool.value()] != 0;
+                         });
+    });
+    scanner.collect_into(observed);
+    expect_identical(expected, observed);
     if (::testing::Test::HasFailure()) {
       FAIL() << "diverged after " << emitted << " events";
     }
@@ -131,7 +181,36 @@ TEST(IncrementalScannerTest, DifferentialWithWorkerPool) {
       WorkerPool::Config{.threads = 3, .queue_capacity = 1024});
   core::ScannerConfig config;
   config.loop_lengths = {3};
-  run_differential(test_snapshot(), config, 300, /*seed=*/14, &workers);
+  run_differential(test_snapshot(), config, 300, /*seed=*/14,
+                   {.workers = &workers});
+}
+
+// Several epochs between two observations: a cycle repriced in more than
+// one of them must be merged into the kept order exactly once, with its
+// latest slot.
+TEST(IncrementalScannerTest, DifferentialSparseObservation) {
+  core::ScannerConfig config;
+  config.loop_lengths = {2, 3};
+  for (const std::size_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    run_differential(test_snapshot(), config, 600, /*seed=*/15,
+                     {.shards = shards, .sparse_observation = true});
+  }
+}
+
+// Quarantine entries and releases between observations: a cycle dirtied
+// and then emptied by quarantine before the next ranking must leave the
+// kept order, and a released one must come back with its resync.
+TEST(IncrementalScannerTest, DifferentialQuarantineSchedule) {
+  core::ScannerConfig config;
+  config.loop_lengths = {3};
+  for (const std::size_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    run_differential(test_snapshot(), config, 600, /*seed=*/16,
+                     {.shards = shards,
+                      .sparse_observation = true,
+                      .quarantine = true});
+  }
 }
 
 TEST(IncrementalScannerTest, CoalescesDuplicatePoolsInBatch) {

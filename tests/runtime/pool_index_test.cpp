@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "market/generator.hpp"
 #include "tests/core/fixtures.hpp"
@@ -45,6 +47,51 @@ TEST(PoolIndexTest, RotationKeysMatchCycles) {
   const std::set<std::string> keys(index.rotation_keys().begin(),
                                    index.rotation_keys().end());
   EXPECT_EQ(keys.size(), index.cycles().size());
+}
+
+/// The numbers of a rotation key ("token/pool;token/pool;..."), in order.
+std::vector<std::uint64_t> key_numbers(const std::string& key) {
+  std::vector<std::uint64_t> numbers;
+  std::uint64_t value = 0;
+  for (const char c : key) {
+    if (c == '/' || c == ';') {
+      numbers.push_back(value);
+      value = 0;
+    } else {
+      value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+  }
+  return numbers;
+}
+
+TEST(PoolIndexTest, KeyOrdinalsOrderCyclesLikeRotationKeys) {
+  market::GeneratorConfig gen;
+  gen.token_count = 14;
+  gen.pool_count = 30;
+  const auto snapshot = market::generate_snapshot(gen);
+  const auto index = PoolCycleIndex::build(snapshot.graph, {2, 3, 4}).value();
+  const auto& keys = index.rotation_keys();
+  const auto& ordinals = index.key_ordinals();
+  ASSERT_EQ(ordinals.size(), keys.size());
+
+  // Every pair of cycles compares the same way by ordinal as by key,
+  // including pairs whose keys order differently as strings than as
+  // numbers ("10/..." sorts before "9/...").
+  std::size_t string_not_numeric = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      ASSERT_EQ(ordinals[i] < ordinals[j], keys[i] < keys[j])
+          << keys[i] << " vs " << keys[j];
+      if (keys[i] < keys[j] && key_numbers(keys[j]) < key_numbers(keys[i])) {
+        ++string_not_numeric;
+      }
+    }
+  }
+  EXPECT_GT(string_not_numeric, 0u);
+  // Ordinals are a permutation of 0..N-1.
+  const std::set<std::uint32_t> distinct(ordinals.begin(), ordinals.end());
+  EXPECT_EQ(distinct.size(), keys.size());
+  EXPECT_EQ(*distinct.rbegin() + 1, keys.size());
 }
 
 TEST(PoolIndexTest, InvertedIndexIsExactOnGeneratedMarket) {
