@@ -281,20 +281,32 @@ FlowProblem::FlowProblem(FlowInstance instance) : instance_(std::move(instance))
   ARB_REQUIRE(instance_.node_weight.size() == num_nodes &&
                   instance_.node_constrained.size() == num_nodes,
               "node array size mismatch");
-  node_out_.resize(num_nodes);
-  node_in_.resize(num_nodes);
+  std::vector<std::vector<std::size_t>> node_in(num_nodes);
+  node_edges_.resize(num_nodes);
   for (std::size_t e = 0; e < num_edges; ++e) {
     ARB_REQUIRE(instance_.edge_from[e] < num_nodes &&
                     instance_.edge_to[e] < num_nodes &&
                     instance_.edge_from[e] != instance_.edge_to[e],
                 "edge endpoints out of range");
-    node_out_[instance_.edge_from[e]].push_back(e);
-    node_in_[instance_.edge_to[e]].push_back(e);
+    node_edges_[instance_.edge_from[e]].push_back(e);
+    node_in[instance_.edge_to[e]].push_back(e);
     if (std::isfinite(instance_.edges[e].input_cap)) capped_.push_back(e);
   }
+  node_out_count_.resize(num_nodes);
   for (std::size_t v = 0; v < num_nodes; ++v) {
+    node_out_count_[v] = node_edges_[v].size();
+    node_edges_[v].insert(node_edges_[v].end(), node_in[v].begin(),
+                          node_in[v].end());
     if (instance_.node_constrained[v]) constrained_nodes_.push_back(v);
   }
+}
+
+double FlowProblem::node_constraint(std::size_t v,
+                                    const math::Vector& d) const {
+  double g = -node_surplus_limit(v);
+  for (std::size_t e : out_edges(v)) g += d[e];
+  for (std::size_t e : in_edges(v)) g -= instance_.edges[e].swap(d[e]);
+  return g;
 }
 
 double FlowProblem::objective(const math::Vector& d) const {
@@ -349,11 +361,7 @@ double FlowProblem::constraint(std::size_t i, const math::Vector& d) const {
     return -d[i];  // d_e >= 0
   }
   if (i < num_edges + constrained_nodes_.size()) {
-    const std::size_t v = constrained_nodes_[i - num_edges];
-    double g = -node_surplus_limit(v);
-    for (std::size_t e : node_out_[v]) g += d[e];
-    for (std::size_t e : node_in_[v]) g -= instance_.edges[e].swap(d[e]);
-    return g;
+    return node_constraint(constrained_nodes_[i - num_edges], d);
   }
   const std::size_t e = capped_[i - num_edges - constrained_nodes_.size()];
   return d[e] - instance_.edges[e].input_cap;  // tick cap
@@ -383,8 +391,8 @@ void FlowProblem::constraint_gradient_into(std::size_t i, const math::Vector& d,
   }
   if (i < num_edges + constrained_nodes_.size()) {
     const std::size_t v = constrained_nodes_[i - num_edges];
-    for (std::size_t e : node_out_[v]) grad[e] += 1.0;
-    for (std::size_t e : node_in_[v]) {
+    for (std::size_t e : out_edges(v)) grad[e] += 1.0;
+    for (std::size_t e : in_edges(v)) {
       grad[e] -= instance_.edges[e].swap_deriv(d[e]);
     }
     return;
@@ -398,11 +406,82 @@ void FlowProblem::constraint_hessian_into(std::size_t i, const math::Vector& d,
   hess.assign(num_edges, num_edges, 0.0);
   if (i >= num_edges && i < num_edges + constrained_nodes_.size()) {
     const std::size_t v = constrained_nodes_[i - num_edges];
-    for (std::size_t e : node_in_[v]) {
+    for (std::size_t e : in_edges(v)) {
       hess(e, e) = -instance_.edges[e].swap_deriv2(d[e]);
     }
   }
   // Nonnegativity and cap constraints are linear: zero Hessian.
+}
+
+// Each term below is the default's per-constraint term restricted to
+// its nonzero entries, added in constraint index order (nonnegativity,
+// nodes, caps) with the same expression, so every entry matches the
+// default bit for bit (±0 aside).
+void FlowProblem::centering_gradient_into(const math::Vector& d, double t,
+                                          math::Vector& grad,
+                                          optim::SolveWorkspace& /*ws*/) const {
+  const std::size_t num_edges = instance_.edges.size();
+  ARB_REQUIRE(d.size() == num_edges, "dimension mismatch");
+  objective_gradient_into(d, grad);
+  grad *= t;
+  for (std::size_t e = 0; e < num_edges; ++e) {
+    grad[e] += -1.0 / d[e];  // g = −d_e, ∇g = −1_e
+  }
+  for (std::size_t v : constrained_nodes_) {
+    const double neg_g = -node_constraint(v, d);
+    for (std::size_t e : out_edges(v)) grad[e] += 1.0 / neg_g;
+    for (std::size_t e : in_edges(v)) {
+      grad[e] += -instance_.edges[e].swap_deriv(d[e]) / neg_g;
+    }
+  }
+  for (std::size_t e : capped_) {
+    grad[e] += 1.0 / (-(d[e] - instance_.edges[e].input_cap));
+  }
+}
+
+void FlowProblem::centering_hessian_into(const math::Vector& d, double t,
+                                         math::Matrix& hess,
+                                         optim::SolveWorkspace& ws) const {
+  const std::size_t num_edges = instance_.edges.size();
+  ARB_REQUIRE(d.size() == num_edges, "dimension mismatch");
+  objective_hessian_into(d, hess);
+  hess *= t;
+  // Linear single-entry constraints (∇g = ±1_e, ∇²g = 0) add only the
+  // outer product's diagonal entry  (s·u)·u  with s = 1/g².
+  const auto add_unit = [&hess](std::size_t e, double g, double u) {
+    const double inv_g = 1.0 / g;
+    const double su = inv_g * inv_g * u;
+    if (su != 0.0) hess(e, e) += su * u;
+  };
+  for (std::size_t e = 0; e < num_edges; ++e) add_unit(e, -d[e], -1.0);
+  // Surplus constraint of node v: ∇g is +1 on out-edges and −F′ on
+  // in-edges (held in ws.constraint_grad in node_edges_ order); ∇²g is
+  // −F″ on the in-edge diagonal.
+  math::Vector& node_grad = ws.constraint_grad;
+  for (std::size_t v : constrained_nodes_) {
+    const std::vector<std::size_t>& edges = node_edges_[v];
+    const std::size_t out = node_out_count_[v];
+    node_grad.resize(edges.size());
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      node_grad[j] =
+          j < out ? 1.0 : -instance_.edges[edges[j]].swap_deriv(d[edges[j]]);
+    }
+    const double inv_g = 1.0 / node_constraint(v, d);
+    const double scale = inv_g * inv_g;
+    for (std::size_t a = 0; a < edges.size(); ++a) {
+      const double su = scale * node_grad[a];
+      if (su == 0.0) continue;
+      for (std::size_t b = 0; b < edges.size(); ++b) {
+        hess(edges[a], edges[b]) += su * node_grad[b];
+      }
+    }
+    for (std::size_t e : in_edges(v)) {
+      hess(e, e) += (-inv_g) * -instance_.edges[e].swap_deriv2(d[e]);
+    }
+  }
+  for (std::size_t e : capped_) {
+    add_unit(e, d[e] - instance_.edges[e].input_cap, 1.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

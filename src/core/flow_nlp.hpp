@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/result.hpp"
@@ -123,6 +124,18 @@ class FlowProblem final : public optim::NlpProblem {
   void constraint_hessian_into(std::size_t i, const math::Vector& d,
                                math::Matrix& hess) const override;
 
+  // Structured centering assembly in O(E + Σ_v deg(v)²): the objective,
+  // nonnegativity and cap terms land on the diagonal; each constrained
+  // node adds one rank-one block over its own in- and out-edges plus
+  // the −F″/g diagonal on its in-edges. Bit-identical to the
+  // NlpProblem defaults (see problem.hpp).
+  void centering_gradient_into(const math::Vector& d, double t,
+                               math::Vector& grad,
+                               optim::SolveWorkspace& ws) const override;
+  void centering_hessian_into(const math::Vector& d, double t,
+                              math::Matrix& hess,
+                              optim::SolveWorkspace& ws) const override;
+
   [[nodiscard]] const FlowInstance& instance() const { return instance_; }
   [[nodiscard]] const std::vector<std::size_t>& constrained_nodes() const {
     return constrained_nodes_;
@@ -133,11 +146,21 @@ class FlowProblem final : public optim::NlpProblem {
   [[nodiscard]] double node_surplus_limit(std::size_t v) const {
     return v == instance_.source ? instance_.budget : 0.0;
   }
+  /// Surplus-constraint value g_v(d) at node `v` (by node index).
+  [[nodiscard]] double node_constraint(std::size_t v,
+                                       const math::Vector& d) const;
+  [[nodiscard]] std::span<const std::size_t> out_edges(std::size_t v) const {
+    return std::span(node_edges_[v]).first(node_out_count_[v]);
+  }
+  [[nodiscard]] std::span<const std::size_t> in_edges(std::size_t v) const {
+    return std::span(node_edges_[v]).subspan(node_out_count_[v]);
+  }
 
   FlowInstance instance_;
   std::vector<std::size_t> constrained_nodes_;  ///< node indices, in order
-  std::vector<std::vector<std::size_t>> node_out_;  ///< per node: out edges
-  std::vector<std::vector<std::size_t>> node_in_;   ///< per node: in edges
+  /// Per node: its out-edges, then its in-edges (each in edge order).
+  std::vector<std::vector<std::size_t>> node_edges_;
+  std::vector<std::size_t> node_out_count_;  ///< per node: # out-edges
   std::vector<std::size_t> capped_;  ///< edges with finite input_cap
 };
 

@@ -44,6 +44,28 @@ double LoopHopData::swap_deriv2(double d) const {
          (denom * denom * denom);
 }
 
+namespace {
+
+/// In-range input cap (raw units) of a concentrated position sold from
+/// `token_in`: 1/√P + γ·d/L ≤ 1/√lo selling token0, √P + γ·d/L ≤ √hi
+/// selling token1.
+double concentrated_input_cap(const amm::ConcentratedPool& pool,
+                              TokenId token_in) {
+  const double gamma = 1.0 - pool.fee();
+  const double liq = pool.liquidity();
+  const double sp = pool.sqrt_price();
+  return token_in == pool.token0()
+             ? liq * (1.0 / pool.sqrt_lo() - 1.0 / sp) / gamma
+             : liq * (pool.sqrt_hi() - sp) / gamma;
+}
+
+}  // namespace
+
+bool edge_accepts_input(const amm::AnyPool& pool, TokenId token_in) {
+  return pool.kind() != amm::PoolKind::kConcentrated ||
+         concentrated_input_cap(pool.concentrated(), token_in) > 0.0;
+}
+
 LoopHopData make_edge_kernel(const amm::AnyPool& any, TokenId token_in,
                              TokenId token_out) {
   LoopHopData hop;
@@ -89,17 +111,15 @@ LoopHopData make_edge_kernel(const amm::AnyPool& any, TokenId token_in,
       const double sp = pool.sqrt_price();
       if (token_in == pool.token0()) {
         // Selling token0: virtual reserves x_v = L/√P, y_v = L·√P;
-        // the CPMM formula on them is exactly L·(√P − √P'). In-range
-        // input cap: 1/√P + γ·d/L ≤ 1/√lo.
+        // the CPMM formula on them is exactly L·(√P − √P').
         hop.reserve_in = liq / sp;
         hop.reserve_out = liq * sp;
-        hop.input_cap = liq * (1.0 / pool.sqrt_lo() - 1.0 / sp) / hop.gamma;
       } else {
-        // Selling token1: x_v = L·√P, y_v = L/√P; cap at √hi.
+        // Selling token1: x_v = L·√P, y_v = L/√P.
         hop.reserve_in = liq * sp;
         hop.reserve_out = liq / sp;
-        hop.input_cap = liq * (pool.sqrt_hi() - sp) / hop.gamma;
       }
+      hop.input_cap = concentrated_input_cap(pool, token_in);
       break;
     }
   }
@@ -238,6 +258,64 @@ void ReducedLoopProblem::constraint_hessian_into(std::size_t i,
     hess(k, k) = -hops_[k].swap_deriv2(d[k]);
   }
   // Cap constraints (i >= 2n) are linear: zero Hessian.
+}
+
+// Each term below is the default's per-constraint term restricted to
+// its nonzero entries, added in constraint index order (nonnegativity,
+// flow, caps) with the same expression, so every entry matches the
+// default bit for bit (±0 aside).
+void ReducedLoopProblem::centering_gradient_into(
+    const math::Vector& d, double t, math::Vector& grad,
+    optim::SolveWorkspace& /*ws*/) const {
+  const std::size_t n = hops_.size();
+  ARB_REQUIRE(d.size() == n, "dimension mismatch");
+  objective_gradient_into(d, grad);
+  grad *= t;
+  for (std::size_t i = 0; i < n; ++i) {
+    grad[i] += -1.0 / d[i];  // g = −d_i, ∇g = −1_i
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t next = (k + 1) % n;
+    const double neg_g = -(d[next] - hops_[k].swap(d[k]));
+    grad[next] += 1.0 / neg_g;
+    grad[k] += -hops_[k].swap_deriv(d[k]) / neg_g;
+  }
+  for (std::size_t k : capped_) {
+    grad[k] += 1.0 / (-(d[k] - hops_[k].input_cap));
+  }
+}
+
+void ReducedLoopProblem::centering_hessian_into(
+    const math::Vector& d, double t, math::Matrix& hess,
+    optim::SolveWorkspace& /*ws*/) const {
+  const std::size_t n = hops_.size();
+  ARB_REQUIRE(d.size() == n, "dimension mismatch");
+  objective_hessian_into(d, hess);
+  hess *= t;
+  // Linear single-entry constraints (∇g = ±1_i, ∇²g = 0) add only the
+  // outer product's diagonal entry  (s·u)·u  with s = 1/g².
+  const auto add_unit = [&hess](std::size_t i, double g, double u) {
+    const double inv_g = 1.0 / g;
+    const double su = inv_g * inv_g * u;
+    if (su != 0.0) hess(i, i) += su * u;
+  };
+  for (std::size_t i = 0; i < n; ++i) add_unit(i, -d[i], -1.0);
+  // Flow constraint k: ∇g = (+1 at k+1, −F′_k at k), ∇²g = −F″_k at (k, k).
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t index[2] = {(k + 1) % n, k};
+    const double grad[2] = {1.0, -hops_[k].swap_deriv(d[k])};
+    const double inv_g = 1.0 / (d[index[0]] - hops_[k].swap(d[k]));
+    const double scale = inv_g * inv_g;
+    for (std::size_t a = 0; a < 2; ++a) {
+      const double su = scale * grad[a];
+      if (su == 0.0) continue;
+      for (std::size_t b = 0; b < 2; ++b) {
+        hess(index[a], index[b]) += su * grad[b];
+      }
+    }
+    hess(k, k) += (-inv_g) * -hops_[k].swap_deriv2(d[k]);
+  }
+  for (std::size_t k : capped_) add_unit(k, d[k] - hops_[k].input_cap, 1.0);
 }
 
 // ---------------------------------------------------------------------------

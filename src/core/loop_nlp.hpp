@@ -101,6 +101,12 @@ struct LoopHopData {
                                            TokenId token_in,
                                            TokenId token_out);
 
+/// True iff make_edge_kernel(pool, token_in, ·).input_cap > 0, without
+/// building the kernel: only a concentrated position pinned at the range
+/// boundary it would move toward admits no input. Evaluates no curve.
+[[nodiscard]] bool edge_accepts_input(const amm::AnyPool& pool,
+                                      TokenId token_in);
+
 /// Extracts per-hop data for a cycle rotation, dispatching on pool kind
 /// (CPMM real reserves / stable closed-form state + proxy / concentrated
 /// virtual reserves + cap). Fails with kNotFound when a CEX price is
@@ -142,6 +148,17 @@ class ReducedLoopProblem final : public optim::NlpProblem {
                                 math::Vector& grad) const override;
   void constraint_hessian_into(std::size_t i, const math::Vector& d,
                                math::Matrix& hess) const override;
+
+  // Structured centering assembly in O(n): nonnegativity and cap terms
+  // on the diagonal, one 2×2 block per flow constraint over
+  // (d_{k+1}, d_k). Bit-identical to the NlpProblem defaults (see
+  // problem.hpp).
+  void centering_gradient_into(const math::Vector& d, double t,
+                               math::Vector& grad,
+                               optim::SolveWorkspace& ws) const override;
+  void centering_hessian_into(const math::Vector& d, double t,
+                              math::Matrix& hess,
+                              optim::SolveWorkspace& ws) const override;
 
   [[nodiscard]] const std::vector<LoopHopData>& hops() const { return hops_; }
 

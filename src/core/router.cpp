@@ -35,7 +35,7 @@ void enumerate_dfs(const graph::TokenGraph& graph, TokenId cur,
     // A tick-pinned concentrated position cannot accept input in this
     // direction (zero receivable reserve of `next`); skip the edge so
     // downstream solves never see an empty cap interior.
-    if (make_edge_kernel(pool, cur, next).input_cap <= 0.0) continue;
+    if (!edge_accepts_input(pool, cur)) continue;
     const double hop_rate = rate * pool.relative_price_of(cur);
     stack.push_back(id);
     if (next == token_out) {

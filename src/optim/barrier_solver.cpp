@@ -33,9 +33,10 @@ class ObjectiveOnly final : public SmoothObjective {
 };
 
 /// The centering objective  t·f(x) − Σᵢ log(−gᵢ(x))  for one outer
-/// iteration. Per-constraint gradient/Hessian terms are accumulated in
-/// workspace buffers, so evaluation is allocation-free. The same instance
-/// serves every outer iteration via set_t.
+/// iteration. Gradient and Hessian come from the problem's centering
+/// assembly (NlpProblem::centering_*_into), which works in workspace
+/// buffers, so evaluation is allocation-free. The same instance serves
+/// every outer iteration via set_t.
 class CenteringObjective final : public SmoothObjective {
  public:
   CenteringObjective(const NlpProblem& problem, SolveWorkspace& ws)
@@ -56,40 +57,12 @@ class CenteringObjective final : public SmoothObjective {
 
   void gradient_into(const math::Vector& point,
                      math::Vector& grad) const override {
-    const std::size_t m = problem_.num_inequalities();
-    const std::size_t n = problem_.dimension();
-    problem_.objective_gradient_into(point, grad);
-    grad *= t_;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double g = problem_.constraint(i, point);
-      problem_.constraint_gradient_into(i, point, ws_.constraint_grad);
-      // d/dx [-log(-g)] = -g'/g  (g < 0).
-      for (std::size_t k = 0; k < n; ++k) {
-        grad[k] += ws_.constraint_grad[k] / (-g);
-      }
-    }
+    problem_.centering_gradient_into(point, t_, grad, ws_);
   }
 
   void hessian_into(const math::Vector& point,
                     math::Matrix& hess) const override {
-    const std::size_t m = problem_.num_inequalities();
-    const std::size_t n = problem_.dimension();
-    problem_.objective_hessian_into(point, hess);
-    hess *= t_;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double g = problem_.constraint(i, point);
-      problem_.constraint_gradient_into(i, point, ws_.constraint_grad);
-      problem_.constraint_hessian_into(i, point, ws_.constraint_hess);
-      // ∇²[-log(-g)] = (g' g'ᵀ)/g² + (-1/g)·∇²g.
-      const double inv_g = 1.0 / g;
-      hess.add_outer_product(ws_.constraint_grad, ws_.constraint_grad,
-                             inv_g * inv_g);
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-          hess(r, c) += (-inv_g) * ws_.constraint_hess(r, c);
-        }
-      }
-    }
+    problem_.centering_hessian_into(point, t_, hess, ws_);
   }
 
   [[nodiscard]] bool in_domain(const math::Vector& point) const override {

@@ -16,6 +16,8 @@
 
 namespace arb::optim {
 
+class SolveWorkspace;
+
 class NlpProblem {
  public:
   virtual ~NlpProblem() = default;
@@ -51,6 +53,27 @@ class NlpProblem {
                                         math::Vector& grad) const;
   virtual void constraint_hessian_into(std::size_t i, const math::Vector& x,
                                        math::Matrix& hess) const;
+
+  // Centering assembly: the barrier solver's single entry point for the
+  // Newton system of  t·f(x) − Σᵢ log(−gᵢ(x)),  evaluated at a strictly
+  // feasible x. The defaults loop over the m constraints through the
+  // per-constraint virtuals above, accumulating dense n-vectors and n×n
+  // matrices in ws.constraint_grad / ws.constraint_hess (O(m·n²) per
+  // Hessian). Sparse transcriptions override them to touch only their
+  // nonzeros. Contract for overrides: every entry must be bit-identical
+  // to the default's (±0 aside) — add each entry's terms in the
+  // default's order (objective first, then constraints in index order,
+  // per constraint the outer-product term before the −∇²gᵢ/gᵢ term) —
+  // and must be allocation-free once ws has grown to the dimension.
+
+  /// grad = t·∇f(x) − Σᵢ ∇gᵢ(x)/gᵢ(x).
+  virtual void centering_gradient_into(const math::Vector& x, double t,
+                                       math::Vector& grad,
+                                       SolveWorkspace& ws) const;
+  /// hess = t·∇²f(x) + Σᵢ (∇gᵢ∇gᵢᵀ/gᵢ² − ∇²gᵢ/gᵢ).
+  virtual void centering_hessian_into(const math::Vector& x, double t,
+                                      math::Matrix& hess,
+                                      SolveWorkspace& ws) const;
 
   /// True iff every g_i(x) < -margin (strict interior).
   [[nodiscard]] bool strictly_feasible(const math::Vector& x,

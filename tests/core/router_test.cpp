@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/loop_nlp.hpp"
 #include "core/routing.hpp"
+#include "market/generator.hpp"
 
 namespace arb::core {
 namespace {
@@ -64,6 +66,50 @@ TEST(EnumeratePathsTest, IsDeterministic) {
   const auto first = enumerate_paths(m.graph, m.a, m.b, 3, 8);
   const auto second = enumerate_paths(m.graph, m.a, m.b, 3, 8);
   EXPECT_EQ(first, second);
+}
+
+TEST(EnumeratePathsTest, InputPredicateAgreesWithKernelCap) {
+  // Enumeration prunes with edge_accepts_input instead of building each
+  // edge's kernel; the two must agree on every directed edge of a mixed
+  // market, including positions pinned exactly at a range boundary.
+  market::GeneratorConfig gen;
+  gen.seed = 1411;
+  gen.token_count = 20;
+  gen.pool_count = 80;
+  gen.stable_fraction = 0.2;
+  gen.concentrated_fraction = 0.3;
+  market::MarketSnapshot market = market::generate_snapshot(gen);
+  graph::TokenGraph& graph = market.graph;
+
+  // Pin every other concentrated position, alternating the side sold: a
+  // swap a hair past the in-range cap clamps the price onto the edge.
+  std::size_t concentrated = 0;
+  std::size_t pinned = 0;
+  for (std::uint32_t i = 0; i < graph.pool_count(); ++i) {
+    const PoolId id{i};
+    if (graph.pool(id).kind() != amm::PoolKind::kConcentrated) continue;
+    if (concentrated++ % 2 == 1) continue;
+    amm::ConcentratedPool& pool = graph.mutable_pool(id).concentrated();
+    const TokenId in = pinned % 2 == 0 ? pool.token0() : pool.token1();
+    const double cap =
+        make_edge_kernel(graph.pool(id), in, pool.other(in)).input_cap;
+    ASSERT_TRUE(pool.apply_swap(in, cap * (1.0 + 1e-13)).ok());
+    ++pinned;
+  }
+  ASSERT_GT(pinned, 1u);
+
+  std::size_t rejected = 0;
+  for (const amm::AnyPool& pool : graph.pools()) {
+    for (const TokenId in : {pool.token0(), pool.token1()}) {
+      const bool accepts = edge_accepts_input(pool, in);
+      EXPECT_EQ(accepts,
+                make_edge_kernel(pool, in, pool.other(in)).input_cap > 0.0)
+          << pool.to_string() << " selling " << in.value();
+      rejected += !accepts;
+    }
+  }
+  // A pinned position admits input only toward the opposite edge.
+  EXPECT_EQ(rejected, pinned);
 }
 
 TEST(RouteTest, SinglePathGoesDirect) {

@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/rng.hpp"
 #include "optim/barrier_solver.hpp"
 #include "optim/kkt.hpp"
 #include "optim/phase1.hpp"
+#include "testkit/trials.hpp"
 #include "tests/optim/lambda_nlp.hpp"
 
 namespace arb::optim {
@@ -23,6 +22,7 @@ using math::Matrix;
 using math::Vector;
 using testing::ConstraintFns;
 using testing::LambdaNlp;
+using testkit::trial_multiplier;
 
 struct RandomQp {
   Matrix q;       // SPD
@@ -71,12 +71,6 @@ struct RandomQp {
         [q_copy](const Vector&) { return q_copy; }, constraints);
   }
 };
-
-/// 5x trials when ARB_LONG_TESTS=1 (any non-empty value but "0").
-int trial_multiplier() {
-  const char* flag = std::getenv("ARB_LONG_TESTS");
-  return (flag != nullptr && flag[0] != '\0' && flag[0] != '0') ? 5 : 1;
-}
 
 class BarrierFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 

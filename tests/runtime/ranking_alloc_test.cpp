@@ -4,61 +4,21 @@
 // left the set equal — performs no heap allocation, at one shard and at
 // several (the K-way merge path).
 //
-// Allocations are counted by replacing the global operator new in this
-// translation unit; the count is per thread, so only the polling
-// thread's own allocations are observed.
+// Allocations are counted by testkit/heap_count.hpp, per thread, so
+// only the polling thread's own allocations are observed.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "market/generator.hpp"
 #include "runtime/incremental_scanner.hpp"
-
-namespace {
-thread_local std::size_t t_allocations = 0;
-}  // namespace
-
-// Every unaligned form is replaced so that no allocation reaches another
-// allocator's operator new and comes back through these deletes (a
-// sanitizer runtime flags that mismatch). They pair malloc with free,
-// which GCC cannot see through an inlined delete-expression.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++t_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new(std::size_t size) {
-  if (void* p = operator new(size, std::nothrow)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return operator new(size, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
+#include "testkit/heap_count.hpp"
 
 namespace arb::runtime {
 namespace {
 
-/// Heap allocations made by this thread while running `poll`.
-template <typename F>
-std::size_t allocations_during(F&& poll) {
-  const std::size_t before = t_allocations;
-  poll();
-  return t_allocations - before;
-}
+using testkit::heap_allocations_during;
 
 class RankingAllocationTest : public ::testing::TestWithParam<std::size_t> {};
 
@@ -80,7 +40,8 @@ TEST_P(RankingAllocationTest, RepeatedCollectIntoAllocatesNothing) {
   const std::vector<core::Opportunity> first = polled;
 
   // Unchanged ranked set: nothing to merge, only the copy-assign.
-  EXPECT_EQ(allocations_during([&] { scanner.collect_into(polled); }), 0u);
+  EXPECT_EQ(
+      heap_allocations_during([&] { scanner.collect_into(polled); }), 0u);
 
   // Rewrite the top loop's pools with their current reserves: their
   // cycles are repriced to the same values, so the ranked set is equal
@@ -92,7 +53,8 @@ TEST_P(RankingAllocationTest, RepeatedCollectIntoAllocatesNothing) {
   }
   const ApplyReport report = scanner.apply(rewrite).value();
   ASSERT_GT(report.repriced, 0u);
-  EXPECT_EQ(allocations_during([&] { scanner.collect_into(polled); }), 0u);
+  EXPECT_EQ(
+      heap_allocations_during([&] { scanner.collect_into(polled); }), 0u);
 
   ASSERT_EQ(polled.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
